@@ -125,8 +125,10 @@ class _KCtx:
     local_used: int = 0  # local-memory bytes allocated so far
     #: cooperative work beyond the serial critical path (total − serial)
     extra: Chain = field(default_factory=Chain)
-    #: arrays already Index-read in this kernel body (stencil L2 locality)
-    read_arrays: set = field(default_factory=set)
+    #: arrays already Index-read in this kernel body (stencil L2 locality),
+    #: by id; the values keep the arrays alive, so a temporary freed
+    #: mid-kernel cannot hand its id to a new array that was never read
+    read_arrays: dict = field(default_factory=dict)
 
 
 def roofline_time(
@@ -885,7 +887,7 @@ class Simulator:
                     chain.gacc += 0.25
                 else:
                     self._charge_read(arr, chain)
-                    kctx.read_arrays.add(id(arr))
+                    kctx.read_arrays[id(arr)] = arr
                 return (AScal(arr.enbytes, None, arr.varies),)
             return (
                 AArr(arr.shape[len(e.idxs):], arr.enbytes, arr.space, arr.varies),

@@ -2,21 +2,31 @@
 
 The paper notes (§4.2) that the stochastic tuner can take long to find the
 optimum and suggests "us[ing] the structure of the branching tree to avoid
-redundant parameter settings entirely".  This module implements that idea:
-for each threshold the only decision boundaries are the distinct values its
+redundant parameter settings entirely".  This module implements that idea.
+For each threshold the only decision boundaries are the distinct values its
 ``Par`` expression takes across the training datasets, so the candidate set
-per threshold is tiny ({always-true} ∪ {just-above-each-par-value}), and
-configurations are deduplicated by their joint path signature before any
-simulation happens.
+per threshold is tiny ({always-true} ∪ {just-above-each-par-value}).
+
+The candidate product is never enumerated.  Instead the search walks each
+dataset's precompiled decision tree (:meth:`SignatureEngine.decision_tree`)
+in turn, depth first, carrying for every threshold the candidates still
+allowed.  At each guard the allowed candidates split into those that take
+the guard and those that do not (``par >= value and not blocked``, the rule
+of :meth:`SignatureEngine.signature`), and the walk follows each non-empty
+part.  Each leaf is one distinct joint path signature over all datasets, and
+its configurations form a product of per-threshold candidate ranges; one
+representative per leaf is measured.  The cost therefore scales with the
+number of distinct joint paths, not with the candidate product.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Mapping, Sequence
+from bisect import bisect_right
+from typing import Iterator, Mapping, Sequence
 
 from repro.compiler import CompiledProgram
 from repro.gpu.device import DeviceSpec
+from repro.interp.evaluator import DEFAULT_THRESHOLD
 from repro.tuning.tuner import Autotuner, CostFn, TuningResult, sum_cost
 
 __all__ = ["exhaustive_tune", "candidate_values"]
@@ -25,7 +35,7 @@ __all__ = ["exhaustive_tune", "candidate_values"]
 def candidate_values(
     compiled: CompiledProgram, datasets: Sequence[Mapping[str, int]]
 ) -> dict[str, list[int]]:
-    """Decision-boundary candidates per threshold.
+    """Decision-boundary candidates per threshold, in ascending order.
 
     Setting a threshold to 1 makes its guard always true on these datasets;
     setting it just above a Par value flips the decision for the datasets
@@ -47,6 +57,52 @@ def candidate_values(
     return out
 
 
+def _path_classes(
+    trees: Sequence[list[tuple]], cands: Mapping[str, list[int]]
+) -> Iterator[tuple[int, ...]]:
+    """Yield, once per distinct joint path signature over ``trees``, the
+    candidate indices of its product-order-first configuration.
+
+    Candidates ascend, so a guard is taken for a prefix of them: the
+    indices still allowed for a threshold always form one range
+    ``[lo, hi)``, and a class's first configuration takes every ``lo``.
+    """
+    bounds = {name: (0, len(c)) for name, c in cands.items()}
+
+    def walk(nodes: list[tuple], i: int, rest) -> Iterator[tuple[int, ...]]:
+        # ``rest`` links the node lists still to visit after this one:
+        # enclosing siblings first, then the trees of later datasets
+        while True:
+            if i == len(nodes):
+                if rest is None:
+                    yield tuple(lo for lo, _ in bounds.values())
+                    return
+                nodes, i, rest = rest
+                continue
+            name, par, blocked, then_nodes, else_nodes = nodes[i]
+            after = (nodes, i + 1, rest)
+            if name not in cands:
+                taken = par >= DEFAULT_THRESHOLD and not blocked
+                nodes, i, rest = (then_nodes if taken else else_nodes), 0, after
+                continue
+            lo, hi = bounds[name]
+            cut = lo if blocked else min(max(bisect_right(cands[name], par), lo), hi)
+            if cut == lo or cut == hi:
+                nodes, i, rest = (then_nodes if cut == hi else else_nodes), 0, after
+                continue
+            bounds[name] = (lo, cut)
+            yield from walk(then_nodes, 0, after)
+            bounds[name] = (cut, hi)
+            yield from walk(else_nodes, 0, after)
+            bounds[name] = (lo, hi)
+            return
+
+    rest = None
+    for tree in reversed(trees):
+        rest = (tree, 0, rest)
+    yield from walk([], 0, rest)
+
+
 def exhaustive_tune(
     compiled: CompiledProgram,
     datasets: Sequence[Mapping[str, int]],
@@ -54,7 +110,14 @@ def exhaustive_tune(
     cost_fn: CostFn = sum_cost,
     max_configs: int = 200_000,
 ) -> TuningResult:
-    """Enumerate all behaviourally distinct threshold assignments."""
+    """Measure one configuration per behaviourally distinct assignment.
+
+    The result equals that of walking the whole candidate product in
+    ``itertools.product`` order and measuring each configuration whose
+    joint path signature is new: representatives are measured in product
+    order, ``proposals`` is the product's size, and each ``history`` entry
+    carries its representative's 1-based position in the product.
+    """
     tuner = Autotuner(compiled, datasets, device, cost_fn=cost_fn)
     cands = candidate_values(compiled, datasets)
     names = list(cands)
@@ -69,32 +132,25 @@ def exhaustive_tune(
 
     best_cfg: dict[str, int] | None = None
     best_cost = float("inf")
-    proposals = 0
-    seen: set[tuple] = set()
     history: list[tuple[int, float]] = []
     full_history: list[tuple[dict[str, int], float]] = []
-    for combo in itertools.product(*(cands[n] for n in names)):
-        cfg = dict(zip(names, combo))
-        proposals += 1
-        # signatures come from the tuner's per-dataset decision trees (and
-        # config→signature memo), not a fresh AST walk per configuration
-        joint = tuple(
-            tuner._signature(i, cfg) for i in range(len(tuner.datasets))
-        )
-        if joint in seen:
-            continue
-        seen.add(joint)
+    trees = [engine.decision_tree() for engine in tuner.engines]
+    for idx in sorted(_path_classes(trees, cands)):
+        cfg = {n: cands[n][j] for n, j in zip(names, idx)}
         cost = tuner.measure(cfg)
         full_history.append((dict(cfg), cost))
         if cost < best_cost:
             best_cfg, best_cost = cfg, cost
-            history.append((proposals, cost))
+            pos = 0  # mixed-radix position of ``idx`` in the product
+            for n, j in zip(names, idx):
+                pos = pos * len(cands[n]) + j
+            history.append((pos + 1, cost))
 
     assert best_cfg is not None
     return TuningResult(
         best_thresholds=best_cfg,
         best_cost=best_cost,
-        proposals=proposals,
+        proposals=total,
         simulations=tuner.simulations,
         cache_hits=tuner.cache_hits,
         history=history,

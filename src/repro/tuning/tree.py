@@ -150,6 +150,18 @@ class SignatureEngine:
         self._tree = build(e)
         perf.inc("signature.build_nodes", nodes)
 
+    def decision_tree(self) -> list[tuple]:
+        """The precompiled guards, for callers that walk the tree themselves.
+
+        A node list holds, in program order, one
+        ``(threshold, par, blocked, then_nodes, else_nodes)`` tuple per
+        top-level guard; ``then_nodes`` and ``else_nodes`` are the node
+        lists of the guarded branches.  The guard is taken when
+        ``par >= threshold value and not blocked``, exactly as in
+        :meth:`signature`.  Read only: the engine shares it.
+        """
+        return self._tree
+
     @property
     def threshold_names(self) -> tuple[str, ...]:
         """Threshold names reachable in the tree, in discovery order."""

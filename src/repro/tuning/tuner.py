@@ -167,7 +167,7 @@ class Autotuner:
         self.cache = perf.caching_enabled() if cache is None else bool(cache)
         self.space = ParameterSpace(compiled.thresholds(), lo, hi)
         #: per-dataset precompiled decision trees (fused signature walk)
-        self._engines = [
+        self.engines = [
             SignatureEngine(compiled.body, d, device) for d in self.datasets
         ]
         # per-dataset: restricted configuration -> path signature
@@ -193,7 +193,7 @@ class Autotuner:
 
     def _signature(self, i: int, thresholds: Mapping[str, int]) -> Sig:
         """Path signature of dataset ``i``, via the per-dataset memo."""
-        engine = self._engines[i]
+        engine = self.engines[i]
         if not self.cache:
             return engine.signature(thresholds)
         key = engine.config_key(thresholds)
@@ -286,7 +286,7 @@ class Autotuner:
                 times.append(t)
                 continue
             # canonical signature-memo accounting, replayed master-side
-            key = self._engines[i].config_key(cfg)
+            key = self.engines[i].config_key(cfg)
             memo = self._sig_memo[i]
             if key in memo:
                 perf.inc("signature.cache_hits")
@@ -361,7 +361,7 @@ class Autotuner:
         """Like :meth:`_signature` but with no memo writes and no perf
         accounting — the canonical accounting is replayed by :meth:`_merge`
         when (and only when) the evaluation commits."""
-        engine = self._engines[i]
+        engine = self.engines[i]
         if not self.cache:
             return engine.signature(thresholds)
         sig = self._sig_memo[i].get(engine.config_key(thresholds))

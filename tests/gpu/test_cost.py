@@ -7,8 +7,21 @@ import pytest
 from repro.compiler import compile_program
 from repro.gpu import K40, VEGA64, Chain, Simulator, roofline_time
 from repro.gpu.cost import AArr, AScal, aval_from_type, intra_local_demand
+from repro.ir import source as S
 from repro.ir import target as T
-from repro.ir.builder import Program, f32, map_, op2, redomap_, scan_, v
+from repro.ir.builder import (
+    Program,
+    f32,
+    i64,
+    iota,
+    let_,
+    map_,
+    op2,
+    redomap_,
+    scan_,
+    size_e,
+    v,
+)
 from repro.ir.types import F32, array_of
 from repro.sizes import SizeVar
 
@@ -121,6 +134,33 @@ class TestSimulatorBasics:
         )
         rep = self._sim(prog, {"n": 0, "m": 4})
         assert rep.time == 0.0
+
+    def test_distinct_row_temporaries_each_charged_a_full_read(self):
+        """``xss[i][0] + yss[i][0]`` reads two arrays: the row of ``yss``
+        is a new temporary, never a repeat read of the freed row of
+        ``xss``, so it costs what the same read through a named row does."""
+        n, m = SizeVar("n"), SizeVar("m")
+
+        def first(arr, i):
+            return S.Index(S.Index(v(arr), [i]), [i64(0)])
+
+        def gbytes(f):
+            prog = Program(
+                "p",
+                [("xss", array_of(F32, n, m)), ("yss", array_of(F32, n, m))],
+                map_(f, iota(size_e("n"))),
+            )
+            (k,) = self._sim(prog, {"n": 4096, "m": 64}).kernels
+            return k.gbytes
+
+        nested = gbytes(lambda i: first("xss", i) + first("yss", i))
+        named = gbytes(
+            lambda i: let_(
+                S.Index(v("yss"), [i]),
+                lambda row: first("xss", i) + S.Index(row, [i64(0)]),
+            )
+        )
+        assert nested == named
 
 
 class TestMatmulCrossover:

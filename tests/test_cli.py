@@ -1,6 +1,7 @@
 """CLI tests (direct main() invocation)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -200,6 +201,30 @@ class TestTune:
         )
         assert code == 0
         assert "best thresholds" in out
+
+    def test_exhaustive_golden(
+        self, capsys, tmp_path, monkeypatch, update_goldens
+    ):
+        """The thresholds file and its telemetry (best and cost curves,
+        threshold trajectories, proposal count) stay byte-identical.
+        Regenerate with ``--update-goldens`` after an intentional change."""
+        monkeypatch.delenv("REPRO_FUSION", raising=False)
+        golden = Path(__file__).parent / "goldens"
+        name = "locvolcalib_exhaustive.tuning"
+        out = tmp_path / name
+        code, _ = run(
+            capsys, "tune", "locvolcalib", "--technique", "exhaustive",
+            "--output", str(out),
+        )
+        assert code == 0
+        for fname in (name, name + ".telemetry.json"):
+            got = (tmp_path / fname).read_bytes()
+            if update_goldens:
+                (golden / fname).write_bytes(got)
+                continue
+            assert got == (golden / fname).read_bytes(), fname
+        if update_goldens:
+            pytest.skip(f"updated goldens for {name}")
 
     def test_stochastic(self, capsys):
         code, out = run(
