@@ -258,7 +258,7 @@ def _recovery_leg() -> dict:
             return (want * 1.0,)
 
         launch = guard.wrap_kernel(
-            "bench-guard-recovery", [("native", top), ("codegen", bottom)]
+            "bench-guard-recovery", [("codegen", top), ("vector", bottom)]
         )
         c0 = perf.counters()
         launches = trip + cooldown + 4  # past the probe, into steady state

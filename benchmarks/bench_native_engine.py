@@ -21,9 +21,9 @@ those constructs, and checks that
 Results land in ``BENCH_native_engine.json`` at the repo root.  Runnable
 standalone (``python benchmarks/bench_native_engine.py [--smoke]``) or
 under pytest; ``REPRO_BENCH_SMOKE=1`` selects tiny batch widths for CI.
-Set ``REPRO_NATIVE=1`` with a C toolchain on PATH to route eligible
-straight-line kernels through the native (C) tier as well — the floor
-holds either way; the native column is informational.
+The file name is historical: the number is generated-Python codegen with
+masked lowerings against the vector engine's per-lane fallback, not
+native code.
 """
 
 from __future__ import annotations
@@ -172,7 +172,6 @@ def run() -> dict:
         "geomean_speedup": geomean,
         "floor": FLOOR,
         "fallbacks_eliminated_on": eliminated,
-        "native_enabled": os.environ.get("REPRO_NATIVE", "") not in ("", "0"),
         "smoke": _smoke(),
         "seed": SEED,
         "repeats": REPEATS,

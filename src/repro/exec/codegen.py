@@ -30,16 +30,14 @@ batchedness, sizes, dtype signature) and compiled with
 ``compile()``/``exec`` — collapsing a whole closure tree into a single
 frame.  Compilations are memoised three deep: per instance (inherited
 kernel cache), per process (code-object cache), and on disk
-(:mod:`repro.exec.compile_cache`, shared across processes).  An optional
-native (C) lowering rides behind ``REPRO_NATIVE=1`` + a toolchain probe
-(:mod:`repro.exec.native`).
+(:mod:`repro.exec.compile_cache`, shared across processes).
 
 Counters: ``exec.codegen.compile`` (fresh source compilations — the
 cross-process cache keeps this at one per kernel *fleet-wide*),
 ``exec.codegen.cache_hits/_misses/_bad``, ``exec.codegen.mem_hits``,
-``exec.codegen.masked_if/_loop``, ``exec.codegen.intrinsic``, and the
-``exec.codegen.native_*`` family.  Fault site ``exec.codegen.compile``
-fires on fresh compilations (see ``docs/robustness.md``).
+``exec.codegen.masked_if/_loop`` and ``exec.codegen.intrinsic``.  Fault
+site ``exec.codegen.compile`` fires on fresh compilations (see
+``docs/robustness.md``).
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ from typing import Callable
 import numpy as np
 
 from repro import faults, perf
-from repro.exec import compile_cache, guard, native
+from repro.exec import compile_cache, guard
 from repro.exec.vector import (
     _VBINOPS,
     _VUNOPS,
@@ -196,15 +194,9 @@ class _Emitter:
         self.ev = ev
         self.bv = bv
         self.lines: list[str] = []
-        self.consts: list = []
         self.const_meta: list[list] = []
         self.op_meta: list[list] = []
         self.tmp = 0
-        #: straight-line plan for the native tier; None once disqualified
-        self.plan: list | None = []
-        #: expression-name -> "b" (batched array) | "c" (numeric const);
-        #: operands outside this map disqualify the native plan
-        self._nkind: dict[str, str] = {}
 
     # -- small helpers
 
@@ -215,17 +207,9 @@ class _Emitter:
         self.tmp += 1
         return f"_t{self.tmp}"
 
-    def const(self, v, meta: list) -> str:
-        idx = len(self.consts)
-        self.consts.append(v)
+    def const(self, meta: list) -> str:
         self.const_meta.append(meta)
-        nm = f"_C{idx}"
-        if self.plan is not None and meta[0] in (
-            "pyint", "int32", "int64", "float32", "float64"
-        ):
-            self.plan.append(["const", nm, idx])
-            self._nkind[nm] = "c"
-        return nm
+        return f"_C{len(self.const_meta) - 1}"
 
     def op(self, kind: str, opname: str) -> str:
         if opname not in _OP_TABLES[kind]:
@@ -233,9 +217,6 @@ class _Emitter:
         idx = len(self.op_meta)
         self.op_meta.append([kind, opname])
         return f"_op{idx}"
-
-    def _no_native(self) -> None:
-        self.plan = None
 
     def _sub(self, e, scope) -> tuple[list[str], list[str], list[bool]]:
         """Emit ``e`` into a detached line buffer (for branch blocks)."""
@@ -261,23 +242,16 @@ class _Emitter:
                 return [hit[0]], [hit[1]]
             nm = self.name()
             self.line(f"{nm} = _G(env, {e.name!r})")
-            flag = e.name in self.bv
-            if flag and self.plan is not None:
-                self.plan.append(["load", nm, e.name])
-                self._nkind[nm] = "b"
-            elif not flag:
-                self._no_native()  # uniform loads keep the Python tier
-            return [nm], [flag]
+            return [nm], [e.name in self.bv]
         if isinstance(e, S.Lit):
             val = to_dtype(e.type).type(e.value)
-            return [self.const(val, _const_to_json(val))], [False]
+            return [self.const(_const_to_json(val))], [False]
         if isinstance(e, S.SizeE):
             val = np.int64(e.size.eval(self.ev.sizes))
-            return [self.const(val, _const_to_json(val))], [False]
+            return [self.const(_const_to_json(val))], [False]
         if isinstance(e, T.ParCmp):
-            self._no_native()
-            par = self.const(int(e.par.eval(self.ev.sizes)), ["pyint", int(e.par.eval(self.ev.sizes))])
-            tn = self.const(e.threshold, ["str", e.threshold])
+            par = self.const(["pyint", int(e.par.eval(self.ev.sizes))])
+            tn = self.const(["str", e.threshold])
             nm = self.name()
             self.line(f"{nm} = bool({par} >= _ev.thresholds.get({tn}, _DT))")
             return [nm], [False]
@@ -298,17 +272,6 @@ class _Emitter:
             if batched:
                 self.line("_ops += 1")
             self.line(f"{nm} = {opn}({xn}, {yn})")
-            if self.plan is not None:
-                if (
-                    batched
-                    and native._BINOPS_C.get(e.op)
-                    and self._nkind.get(xn)
-                    and self._nkind.get(yn)
-                ):
-                    self.plan.append(["bin", nm, e.op, xn, yn])
-                    self._nkind[nm] = "b"
-                else:
-                    self._no_native()
             return [nm], [batched]
         if isinstance(e, S.UnOp):
             xn, xf = self.emit1(e.x, scope)
@@ -317,12 +280,6 @@ class _Emitter:
             if xf:
                 self.line("_ops += 1")
             self.line(f"{nm} = {opn}({xn})")
-            if self.plan is not None:
-                if xf and e.op in native._UNOPS_C and self._nkind.get(xn):
-                    self.plan.append(["un", nm, e.op, xn])
-                    self._nkind[nm] = "b"
-                else:
-                    self._no_native()
             return [nm], [xf]
         if isinstance(e, S.Let):
             rnames, rflags = self.emit(e.rhs, scope)
@@ -340,7 +297,6 @@ class _Emitter:
         raise _CantEmit(type(e).__name__)
 
     def _emit_if(self, e: S.If, scope) -> tuple[list[str], list[bool]]:
-        self._no_native()
         cn, cf = self.emit1(e.cond, scope)
         if not cf:
             # uniform condition: a real Python branch, only the taken side runs
@@ -389,7 +345,6 @@ class _Emitter:
         return outs, [True] * len(outs)
 
     def _emit_index(self, e: S.Index, scope) -> tuple[list[str], list[bool]]:
-        self._no_native()
         an, af = self.emit1(e.arr, scope)
         idxs = [self.emit1(i, scope) for i in e.idxs]
         iflags = [f for _, f in idxs]
@@ -458,23 +413,20 @@ class CodegenEvaluator(VectorEvaluator):
     def _guard_kernel(self, e, bv, hit):
         """Wrap an emitted kernel in the demotion ladder (``exec/guard.py``).
 
-        Rungs, highest first: native (when a runner compiled), the
-        generated-source Python kernel, the vector engine's closure
-        lowering of the same expression, and the per-lane scalar oracle.
-        The lower rungs compile lazily — a healthy kernel never builds
-        them.  ``REPRO_GUARD=0`` returns the kernel unwrapped.
+        Rungs, highest first: the generated-source Python kernel, the
+        vector engine's closure lowering of the same expression, and the
+        per-lane scalar oracle.  The lower rungs compile lazily — a healthy
+        kernel never builds them.  ``REPRO_GUARD=0`` returns the kernel
+        unwrapped.
         """
-        fn, flags = hit
-        meta = getattr(fn, "_guard", None)
-        if meta is None or not self._guard_active:
+        if not self._guard_active:
             return hit
+        fn, flags = hit
+        meta = fn._guard
         ev = self
         arity = len(flags)
-        rungs = []
-        if meta["native"] is not None:
-            rungs.append(("native", meta["native"]))
-        rungs.append(("codegen", meta["py"]))
         vcell: list = []
+        scell: list = []
 
         def vector_rung(env, n):
             if not vcell:
@@ -482,19 +434,14 @@ class CodegenEvaluator(VectorEvaluator):
             vfn, vflags = vcell[0]
             return _adapt_vals(vfn(env, n), vflags, flags, n)
 
-        rungs.append(("vector", vector_rung))
-        scell: list = []
-
         def scalar_rung(env, n):
             if not scell:
                 scell.append(ev._c_fallback(e, bv, arity, "guard"))
             sfn, sflags = scell[0]
             return _adapt_vals(sfn(env, n), sflags, flags, n)
 
-        rungs.append(("scalar", scalar_rung))
-        launch = guard.wrap_kernel(
-            meta["key"], rungs, source=meta.get("source")
-        )
+        rungs = [("codegen", fn), ("vector", vector_rung), ("scalar", scalar_rung)]
+        launch = guard.wrap_kernel(meta["key"], rungs, source=meta["source"])
         return launch, flags
 
     def _emittable(self, e) -> bool:
@@ -537,31 +484,6 @@ class CodegenEvaluator(VectorEvaluator):
             source = em.render(names)
         except _CantEmit:
             return None
-        plan = None
-        if em.plan is not None and len(names) == 1 and flags[0]:
-            plan = {
-                "lines": em.plan,
-                "out": names[0],
-                "consts": [
-                    _const_to_json(c)
-                    for ln in em.plan
-                    if ln[0] == "const"
-                    for c in [em.consts[ln[2]]]
-                ],
-                "nops": sum(1 for ln in em.plan if ln[0] in ("bin", "un")),
-            }
-            # native const indices refer to the dense per-plan const list
-            dense = {ln[2]: i for i, ln in enumerate(
-                ln for ln in em.plan if ln[0] == "const"
-            )}
-            plan["lines"] = [
-                ["const", ln[1], dense[ln[2]]] if ln[0] == "const" else ln
-                for ln in em.plan
-            ]
-            if not native.eligible(
-                {**plan, "consts": [c[1] for c in plan["consts"]]}
-            ):
-                plan = None
         payload = {
             "engine": "codegen",
             "version": CACHE_VERSION,
@@ -569,7 +491,6 @@ class CodegenEvaluator(VectorEvaluator):
             "flags": [bool(f) for f in flags],
             "ops": em.op_meta,
             "consts": em.const_meta,
-            "native": plan,
         }
         with obs.span("exec.codegen.compile", cat="exec", key=key[:12]):
             code = faults.retrying(
@@ -612,53 +533,8 @@ class CodegenEvaluator(VectorEvaluator):
         for i, meta in enumerate(payload["consts"]):
             g[f"_C{i}"] = _const_from_json(meta)
         exec(code, g)  # noqa: S102 - our own generated, checksummed source
-        py = g["_kernel"]
-        plan = payload.get("native")
-        runner = None
-        if plan is not None and native.available():
-            runner = native.prepare(
-                key,
-                {**plan, "consts": [_const_from_json(c) for c in plan["consts"]]},
-            )
-        if runner is None:
-            py._guard = {
-                "key": key, "native": None, "py": py,
-                "source": payload.get("source"),
-            }
-            return py, flags
-        loads = [ln[2] for ln in plan["lines"] if ln[0] == "load"]
-        nops = int(plan.get("nops", 0))
-        ev = self
-
-        def native_rung(env, n):
-            # the per-launch eligibility check; declining is not a failure
-            if isinstance(n, int) and n > 0:
-                arrs = [env.get(nm) for nm in loads]
-                if all(
-                    isinstance(a, np.ndarray)
-                    and a.dtype == np.float64
-                    and a.ndim == 1
-                    and a.shape[0] == n
-                    and a.flags.c_contiguous
-                    for a in arrs
-                ):
-                    out = (runner(arrs, n),)
-                    # counted only after a successful launch, so a demoted
-                    # launch cannot drift the op accounting
-                    ev.vector_ops += nops
-                    return out
-            return guard.NOT_ELIGIBLE
-
-        def fn(env, n):
-            out = native_rung(env, n)
-            if out is guard.NOT_ELIGIBLE:
-                return py(env, n)
-            return out
-
-        fn._guard = {
-            "key": key, "native": native_rung, "py": py,
-            "source": payload.get("source"),
-        }
+        fn = g["_kernel"]
+        fn._guard = {"key": key, "source": payload["source"]}
         return fn, flags
 
     # -- masked non-total batched if ---------------------------------------

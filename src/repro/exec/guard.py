@@ -2,17 +2,17 @@
 
 The paper's branching tree dispatches among semantically-equivalent code
 versions guarded by cheap runtime predicates; this module applies the
-same principle one level up, to the engine stack itself.  The four
-executors — native C, generated-source Python (codegen), batched NumPy
-closures (vector), and the per-lane scalar oracle — are proven
-bit-identical by the differential harness, so any launch that fails on
-one tier can be *demoted* one rung and re-executed with identical
-results (``docs/guarded-execution.md``).
+same principle one level up, to the engine stack itself.  The three
+executors — generated-source Python (codegen), batched NumPy closures
+(vector), and the per-lane scalar oracle — are proven bit-identical by
+the differential harness, so any launch that fails on one tier can be
+*demoted* one rung and re-executed with identical results
+(``docs/guarded-execution.md``).
 
 For every emitted codegen kernel the guard assembles a ladder of launch
 rungs, highest tier first::
 
-    native  ->  codegen  ->  vector  ->  scalar
+    codegen  ->  vector  ->  scalar
 
 and wraps each launch:
 
@@ -77,21 +77,13 @@ __all__ = [
     "reset",
     "device_sig",
     "corpus_dir",
-    "NOT_ELIGIBLE",
 ]
-
-#: sentinel a rung returns when it cannot launch at all (e.g. the native
-#: eligibility guard fails) — the guard falls through without breaker
-#: bookkeeping: ineligibility is not a failure
-NOT_ELIGIBLE = object()
 
 #: breaker-file schema version
 BREAKER_FORMAT = 1
 
 #: interned fault-site names for the standard tiers (wrap-time lookup)
-_SITES = {
-    t: f"exec.launch.{t}" for t in ("native", "codegen", "vector", "scalar")
-}
+_SITES = {t: f"exec.launch.{t}" for t in ("codegen", "vector", "scalar")}
 
 DEFAULT_TRIP_THRESHOLD = 3
 DEFAULT_COOLDOWN = 16
@@ -508,8 +500,7 @@ def wrap_kernel(key: str, rungs, *, source: str | None = None):
     ``rungs`` is an ordered list of ``(tier, fn)`` pairs, highest tier
     first.  Every rung but the last is breaker-guarded and demotes on
     failure; the last rung (the scalar oracle) is the safety net and
-    propagates.  A rung may return :data:`NOT_ELIGIBLE` to decline a
-    launch without breaker bookkeeping.
+    propagates.
     """
     rungs = list(rungs)
     oracle = None
@@ -543,7 +534,6 @@ def wrap_kernel(key: str, rungs, *, source: str | None = None):
         source,
         _breakers.get,
         faults.inject,
-        NOT_ELIGIBLE,
     )
     cached = _wrapped.get(key)
     if cached is not None:
@@ -564,7 +554,6 @@ def wrap_kernel(key: str, rungs, *, source: str | None = None):
         _source=None,
         _br_get=None,
         _faults=None,
-        _NE=None,
     ):
         global _demotions
         if not _loaded:
@@ -602,8 +591,6 @@ def wrap_kernel(key: str, rungs, *, source: str | None = None):
                     "exec.guard.demoted", cat="exec", key=key[:12],
                     tier=tier, error=f"{type(exc).__name__}: {exc}",
                 )
-                continue
-            if vals is _NE:
                 continue
             if (
                 _oracle is not None

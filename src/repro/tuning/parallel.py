@@ -210,6 +210,12 @@ class BatchExecutor:
         """Replace a broken pool, consuming one observed worker crash from
         the plan so replacement workers do not crash-loop."""
         if self._pool is not None:
+            # a submit that races the pool's own teardown can start a worker
+            # after the pool terminated the others; nothing else stops it,
+            # and the pool's manager thread, which interpreter exit joins,
+            # waits on it forever
+            for proc in list(self._pool._processes.values()):
+                proc.terminate()
             self._pool.shutdown(wait=False, cancel_futures=True)
         if self._plan is not None:
             self._plan = self._plan.consume("worker_crash", 1)
@@ -258,12 +264,16 @@ class BatchExecutor:
                     (idx, self._pool.submit(_eval_configs, chunks[idx]))
                     for idx in pending
                 ]
-            except BrokenProcessPool:
+            except (BrokenProcessPool, OSError, ValueError):
                 # a crash from the *previous* round can surface here: the
                 # worker died after its futures resolved, so the pool only
-                # got marked broken in between.  All of `pending` is still
-                # owed; any futures submitted before the error belong to
-                # the dead pool and are simply abandoned.
+                # got marked broken in between.  Before it is marked, submit
+                # may instead try to respawn the dead worker into the
+                # half-torn-down pool and fail with OSError ("handle is
+                # closed") or ValueError ("bad value(s) in fds_to_keep").
+                # All of `pending` is still owed; any futures submitted
+                # before the error belong to the dead pool and are simply
+                # abandoned.
                 crashed(len(pending))
                 continue
             failed: list[int] = []

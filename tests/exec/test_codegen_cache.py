@@ -106,6 +106,55 @@ class TestEntryIntegrity:
         assert compile_cache.load(key, "fp-A") is None
 
 
+#: the ``"native"`` payload field that entries written before the native
+#: C tier was deleted carry beside the same key and ``CACHE_VERSION``:
+#: the straight-line plan stored for ``_chain``; nothing reads it now
+_OLD_NATIVE_PLAN = {
+    "lines": [
+        ["load", "_t1", "x"],
+        ["const", "_C0", 0],
+        ["bin", "_t2", "*", "_t1", "_C0"],
+        ["const", "_C1", 1],
+        ["bin", "_t3", "+", "_t2", "_C1"],
+        ["load", "_t4", "x"],
+        ["const", "_C2", 2],
+        ["bin", "_t5", "*", "_t4", "_C2"],
+        ["bin", "_t6", "-", "_t3", "_t5"],
+        ["un", "_t7", "abs", "_t6"],
+    ],
+    "out": "_t7",
+    "consts": [["float32", 2.0], ["float32", 1.0], ["float32", 0.5]],
+    "nops": 5,
+}
+
+
+class TestOlderEntries:
+    @pytest.mark.parametrize("plan", [_OLD_NATIVE_PLAN, None], ids=["plan", "null"])
+    def test_entry_with_native_field_loads_without_compile(self, plan):
+        e = _chain()
+        _eval_codegen(e, _xs())
+        (name,) = _entry_files()
+        doc = json.load(open(os.path.join(compile_cache.cache_dir(), name)))
+        assert "native" not in doc["payload"]
+        key = doc["key"]
+        compile_cache.store(
+            key, doc["fingerprint"], {**doc["payload"], "native": plan}
+        )
+        assert compile_cache.load(key, doc["fingerprint"])["native"] == plan
+        _CODE_CACHE.clear()
+        before = perf.counters()
+        ref = Evaluator().eval(e, {"xs": _xs(6)})
+        got = _eval_codegen(e, _xs(6))
+        assert np.asarray(ref[0]).tobytes() == np.asarray(got[0]).tobytes()
+        after = perf.counters()
+        assert after.get("exec.codegen.compile", 0) == before.get(
+            "exec.codegen.compile", 0
+        )
+        assert after.get("exec.codegen.cache_hits", 0) > before.get(
+            "exec.codegen.cache_hits", 0
+        )
+
+
 class TestLRUBound:
     def test_eviction_beyond_cap(self, monkeypatch):
         monkeypatch.setenv("REPRO_CODEGEN_CACHE_MAX", "3")
@@ -130,20 +179,6 @@ class TestLRUBound:
         assert compile_cache.entry_key("fp-0") + ".json" in names  # survived
         assert compile_cache.entry_key("fp-1") + ".json" not in names  # evicted
 
-    def test_native_artifacts_evicted_with_entry(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CODEGEN_CACHE_MAX", "1")
-        d = compile_cache.shared_dir()
-        key0 = compile_cache.entry_key("fp-0")
-        compile_cache.store(key0, "fp-0", {"i": 0})
-        for suffix in (".c", ".so"):
-            open(os.path.join(d, key0 + suffix), "w").write("stub")
-        import time
-
-        time.sleep(0.02)
-        compile_cache.store(compile_cache.entry_key("fp-1"), "fp-1", {"i": 1})
-        leftovers = [f for f in os.listdir(d) if f.startswith(key0)]
-        assert leftovers == []
-
 
 # -- cross-process sharing ---------------------------------------------------
 #
@@ -166,87 +201,6 @@ def _worker_eval(cache_dir: str) -> dict:
     xs = np.linspace(-2.0, 3.0, 5).astype(np.float32)
     WEvaluator().eval(e, {"xs": xs})
     return dict(wperf.export()["counters"])
-
-
-def _so_deleter(cache_dir: str, iters: int) -> None:
-    """Concurrent LRU-eviction stand-in: repeatedly remove ``.so``/``.c``
-    siblings while another process is probing and dlopening them."""
-    import glob
-    import time
-
-    for _ in range(iters):
-        for f in glob.glob(os.path.join(cache_dir, "*.so")) + glob.glob(
-            os.path.join(cache_dir, "*.c")
-        ):
-            try:
-                os.unlink(f)
-            except OSError:
-                pass
-        time.sleep(0.001)
-
-
-class TestNativeEvictionRace:
-    """Satellite: a concurrent eviction of a ``.so`` between the reuse
-    probe and ``dlopen`` must recompile, not drop to Python forever."""
-
-    INFO = {
-        "lines": [("load", "x0", "xs"), ("bin", "x1", "*", "x0", "x0")],
-        "out": "x1",
-        "consts": [],
-    }
-
-    def _native(self, monkeypatch):
-        from repro.exec import native
-
-        if native.toolchain() is None:
-            pytest.skip("no C toolchain on PATH")
-        monkeypatch.setenv("REPRO_NATIVE", "1")
-        return native
-
-    def test_torn_so_after_probe_rebuilds(self, monkeypatch):
-        native = self._native(monkeypatch)
-        key = compile_cache.entry_key("fp-native-race")
-        # a torn .so (e.g. from a writer killed mid-copy) passes the
-        # existence probe but fails dlopen — prepare must force-rebuild
-        so = os.path.join(compile_cache.shared_dir(), key + ".so")
-        with open(so, "wb") as fh:
-            fh.write(b"not an ELF object")
-        before = perf.counters().get("exec.codegen.native_rebuilds", 0)
-        run = native.prepare(key, self.INFO)
-        assert run is not None  # recovered by forced recompilation
-        assert perf.counters()["exec.codegen.native_rebuilds"] == before + 1
-        xs = np.asarray([1.5, -2.0, 3.0], dtype=np.float64)
-        out = run([xs], 3)
-        assert out.tobytes() == (xs * xs).tobytes()
-
-    def test_vanished_so_recompiles(self, monkeypatch):
-        native = self._native(monkeypatch)
-        key = compile_cache.entry_key("fp-native-gone")
-        assert native.prepare(key, self.INFO) is not None
-        os.unlink(os.path.join(compile_cache.shared_dir(), key + ".so"))
-        compiles = perf.counters().get("exec.codegen.native_compile", 0)
-        assert native.prepare(key, self.INFO) is not None
-        assert perf.counters()["exec.codegen.native_compile"] == compiles + 1
-
-    def test_two_process_eviction_race_stays_bit_identical(self, monkeypatch):
-        self._native(monkeypatch)
-        e = _chain()
-        xs = np.asarray([-1.5, 2.25, 3.5, -0.75, 0.5], dtype=np.float64)
-        ref = np.asarray(Evaluator().eval(e, {"xs": xs})[0]).tobytes()
-        ctx = multiprocessing.get_context("spawn")
-        deleter = ctx.Process(
-            target=_so_deleter, args=(compile_cache.shared_dir(), 400)
-        )
-        deleter.start()
-        try:
-            for _ in range(8):
-                _CODE_CACHE.clear()  # force re-install (re-probe + dlopen)
-                got = _eval_codegen(e, xs)
-                assert np.asarray(got[0]).tobytes() == ref
-        finally:
-            deleter.join(timeout=30)
-            if deleter.is_alive():
-                deleter.terminate()
 
 
 class TestCrossProcessSharing:

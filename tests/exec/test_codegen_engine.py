@@ -5,7 +5,7 @@ forced path of every benchmark runs under all three engines).  These tests
 cover the engine directly: bit-parity of the generated-source kernels, the
 three fallback-eliminating lowerings (masked non-total ``if``, max-trip
 masked batched-bound ``loop``, registered intrinsic vector lowerings),
-engine selection, counters/caching, and the optional native tier.
+engine selection, and counters/caching.
 """
 
 import numpy as np
@@ -374,37 +374,3 @@ class TestObsAndPerf:
         VectorEvaluator().eval(e, {"xs": np.asarray([1, 2], dtype=np.int64)})
         after = perf.counters().get("exec.fallback.if", 0)
         assert after > before
-
-
-class TestNativeTier:
-    def test_native_parity_when_toolchain_present(self, monkeypatch):
-        from repro.exec import native
-
-        if native.toolchain() is None:
-            pytest.skip("no C toolchain on PATH")
-        monkeypatch.setenv("REPRO_NATIVE", "1")
-        e = map_(lambda x: S.UnOp("abs", x * 2.0 + 1.0 - x * 0.5), v("xs"))
-        xs = np.asarray([-1.5, 2.25, 3.5, -0.0], dtype=np.float64)
-        ref = SCALAR.eval(e, {"xs": xs})
-        before = perf.counters().get("exec.codegen.native_launch", 0)
-        got = CodegenEvaluator().eval(e, {"xs": xs})
-        assert np.asarray(ref[0]).tobytes() == np.asarray(got[0]).tobytes()
-        assert perf.counters().get("exec.codegen.native_launch", 0) > before
-
-    def test_f32_inputs_skip_native_launch(self, monkeypatch):
-        from repro.exec import native
-
-        if native.toolchain() is None:
-            pytest.skip("no C toolchain on PATH")
-        monkeypatch.setenv("REPRO_NATIVE", "1")
-        # launch guard: non-f64 arrays take the generated-Python path
-        both(
-            map_(lambda x: S.UnOp("abs", x * 2.0 + 1.0 - x * 0.5), v("xs")),
-            xs=arr([-1.5, 2.25, 3.5]),
-        )
-
-    def test_native_disabled_by_default(self, monkeypatch):
-        from repro.exec import native
-
-        monkeypatch.delenv("REPRO_NATIVE", raising=False)
-        assert not native.enabled()

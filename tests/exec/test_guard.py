@@ -74,17 +74,6 @@ class TestDemotionLadder:
         assert perf.counters()["exec.guard.demotions"] == before + 1
         assert perf.counters().get("exec.guard.demotions.codegen", 0) >= 1
 
-    def test_not_eligible_declines_without_breaker(self):
-        def decline(env, n):
-            return guard.NOT_ELIGIBLE
-
-        low = _rung(_vals(3.0))
-        launch = guard.wrap_kernel("k3", [("native", decline), ("scalar", low)])
-        for _ in range(10):
-            assert launch({}, 4)[0][0] == 3.0
-        assert guard.demotion_count() == 0
-        assert guard.snapshot()["breakers"] == []
-
     def test_last_rung_propagates(self):
         bad = _rung(None, fail=True)
         launch = guard.wrap_kernel("k4", [("codegen", bad), ("scalar", bad)])

@@ -3,7 +3,7 @@
 In-process daemons cover the ``health`` wire op, the overload-shedding
 admission path (503 + engine demotion), and the drain-path breaker
 flush.  The subprocess test at the end is the acceptance scenario: a
-daemon whose native/codegen launches fail persistently completes jobs
+daemon whose codegen-tier launches fail persistently completes jobs
 bit-identically via demotion, ``repro health`` reports the tripped
 breaker, and the state survives ``kill -9`` + restart.
 """

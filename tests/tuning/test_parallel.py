@@ -206,6 +206,55 @@ class TestCrashRecovery:
             )
         _assert_same(serial, crashed)
 
+    @pytest.mark.parametrize(
+        "err",
+        [OSError("handle is closed"), ValueError("bad value(s) in fds_to_keep")],
+        ids=["oserror", "valueerror"],
+    )
+    def test_submit_into_torn_down_pool_recovers(self, matmul_if, train, err):
+        # a worker that died after its futures resolved leaves a pool not
+        # yet marked broken; submit() then respawns into it and raises
+        # these instead of BrokenProcessPool
+        tuner = Autotuner(matmul_if, train, K40, seed=0)
+        cfgs = [tuner.space.default_config()] * 4
+        with BatchExecutor(tuner, 2) as ex:
+            want = [(res, failure) for res, _, failure in ex.evaluate(cfgs)]
+            torn = ex._pool
+
+            def submit(*args, **kwargs):
+                raise err
+
+            torn.submit = submit
+            before = perf.counters().get("faults.worker_crashes", 0)
+            got = [(res, failure) for res, _, failure in ex.evaluate(cfgs)]
+            assert ex._pool is not torn
+        assert perf.counters()["faults.worker_crashes"] == before + 1
+        assert got == want
+
+    def test_respawn_stops_worker_started_during_teardown(
+        self, matmul_if, train
+    ):
+        # a submit racing the pool's own teardown can add a worker after the
+        # pool terminated the others; unless respawn stops it, the abandoned
+        # pool's manager thread waits on it and interpreter exit hangs
+        import multiprocessing
+        import time
+
+        tuner = Autotuner(matmul_if, train, K40, seed=0)
+        stray = multiprocessing.get_context("spawn").Process(
+            target=time.sleep, args=(60,)
+        )
+        stray.start()
+        try:
+            with BatchExecutor(tuner, 2) as ex:
+                ex._pool._processes[stray.pid] = stray
+                ex._respawn()
+                stray.join(timeout=10)
+                assert not stray.is_alive()
+        finally:
+            stray.kill()
+            stray.join(timeout=10)
+
     def test_unbounded_crash_plan_gives_up_with_clear_error(
         self, matmul_if, train
     ):
